@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short bench benchflow perfgate check experiments golden cover soak loc
+.PHONY: all build vet test test-short bench benchmark benchflow perfgate check experiments golden cover soak loc
 
 all: build vet test
 
@@ -12,8 +12,11 @@ all: build vet test
 # short native fuzz runs over the CXL packet decoder and the checkpoint
 # snapshot decoder, and — when the tools are installed — staticcheck and
 # govulncheck (CI always runs them; locally they are skipped if absent).
+# The benchmark is a nested module that `./...` never sees, so it is vetted
+# and built on its own: an internal API change cannot break it silently.
 check:
 	$(GO) vet ./...
+	cd tecobench && $(GO) vet . && $(GO) build -o /dev/null .
 	$(GO) test -race -timeout 40m ./...
 	$(GO) test -count=1 -run 'TestFabricChaos' ./internal/realtrain
 	$(GO) test -fuzz='FuzzDecode$$' -fuzztime=10s ./internal/cxl
@@ -46,6 +49,12 @@ test-short:
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 	$(GO) run ./cmd/benchpar -out BENCH_parallel.json -numeric-out BENCH_numeric.json
+
+# The repository benchmark (BENCHMARK.json): four seeded workloads with
+# end-to-end and per-layer metrics; arguments pass through ARGS, e.g.
+# make benchmark ARGS='--workload sweep --seconds 20'.
+benchmark:
+	bash tecobench/run.sh $(ARGS)
 
 # Flow-coalescing report: the stream microbenchmark (per-line vs coalesced)
 # and the end-to-end suite seconds, written to BENCH_flow.json.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"teco/internal/compressbl"
 	"teco/internal/core"
@@ -513,6 +514,67 @@ func LAMMPS() *Table {
 	return t
 }
 
+// experiment is one registered generator.
+type experiment struct {
+	id      string
+	aliases []string // further ids that run the same generator
+	inAll   bool     // part of "all"
+	run     func(Options) []*Table
+}
+
+// one adapts a single-table generator to the registry.
+func one(gen func(Options) *Table) func(Options) []*Table {
+	return func(opt Options) []*Table { return []*Table{gen(opt)} }
+}
+
+// registry is the one list of experiments, in IDs order; "all" runs the
+// inAll entries in this (paper) order.
+var registry = []experiment{
+	{id: "table1", inAll: true, run: one(TableIWith)},
+	{id: "fig2", aliases: []string{"fig2a", "fig2b"}, inAll: true, run: func(opt Options) []*Table {
+		a, b := Fig2With(opt)
+		return []*Table{a, b}
+	}},
+	{id: "ablation-inval", inAll: true, run: one(AblationInvalidationWith)},
+	{id: "fig11", aliases: []string{"table4"}, inAll: true, run: one(Fig11TableIVWith)},
+	{id: "table5", inAll: true, run: one(TableVWith)},
+	{id: "fig10", inAll: true, run: one(Fig10With)},
+	{id: "fig12", inAll: true, run: one(Fig12With)},
+	{id: "volume", inAll: true, run: one(CommVolumeWith)},
+	{id: "table6", inAll: true, run: one(TableVIWith)},
+	{id: "fig13", inAll: true, run: one(Fig13With)},
+	{id: "table7", inAll: true, run: one(func(Options) *Table { return TableVII() })},
+	{id: "table8", inAll: true, run: one(TableVIIIWith)},
+	{id: "lammps", inAll: true, run: one(func(Options) *Table { return LAMMPS() })},
+	{id: "tune-act", run: one(TuneActAfterStepsWith)},
+	{id: "ablation-dpu", run: one(AblationDPUWith)},
+	{id: "time-to-loss", run: one(TimeToLossWith)},
+	{id: "linkspeed", run: one(LinkSpeedSweepWith)},
+	{id: "faults", inAll: true, run: one(FaultSweep)},
+	{id: "recovery", inAll: true, run: one(RecoverySweep)},
+	{id: "fabric", inAll: true, run: one(FabricSweep)},
+	{id: "fabric-faults", inAll: true, run: one(FabricFaultSweep)},
+	{id: "layers", inAll: true, run: one(LayersSweep)},
+	{id: "layers-policy", inAll: true, run: one(LayersPolicySweep)},
+	{id: "tiering", inAll: true, run: one(TieringSweep)},
+	{id: "tiering-policy", inAll: true, run: one(TieringPolicySweep)},
+}
+
+// lookup returns the registry entry for an id or alias (nil: unknown).
+// "all" is not an entry — AllWith reads the registry — so ByIDWith
+// resolves it.
+func lookup(id string) *experiment {
+	for i := range registry {
+		if e := &registry[i]; e.id == id || slices.Contains(e.aliases, id) {
+			return e
+		}
+	}
+	return nil
+}
+
+// Known reports whether id (or an alias, or "all") names an experiment.
+func Known(id string) bool { return id == "all" || lookup(id) != nil }
+
 // All runs every experiment and returns the tables in paper order.
 func All(seed int64) []*Table { return AllWith(Options{Seed: seed}) }
 
@@ -522,31 +584,13 @@ func All(seed int64) []*Table { return AllWith(Options{Seed: seed}) }
 // fine-tuning runs across Fig 2, Fig 10, Table V and the fault/recovery
 // sweeps. Table order is always paper order.
 func AllWith(opt Options) []*Table {
-	gens := []func() []*Table{
-		func() []*Table { return []*Table{TableIWith(opt)} },
-		func() []*Table { a, b := Fig2With(opt); return []*Table{a, b} },
-		func() []*Table { return []*Table{AblationInvalidationWith(opt)} },
-		func() []*Table { return []*Table{Fig11TableIVWith(opt)} },
-		func() []*Table { return []*Table{TableVWith(opt)} },
-		func() []*Table { return []*Table{Fig10With(opt)} },
-		func() []*Table { return []*Table{Fig12With(opt)} },
-		func() []*Table { return []*Table{CommVolumeWith(opt)} },
-		func() []*Table { return []*Table{TableVIWith(opt)} },
-		func() []*Table { return []*Table{Fig13With(opt)} },
-		func() []*Table { return []*Table{TableVII()} },
-		func() []*Table { return []*Table{TableVIIIWith(opt)} },
-		func() []*Table { return []*Table{LAMMPS()} },
-		func() []*Table { return []*Table{FaultSweep(opt)} },
-		func() []*Table { return []*Table{RecoverySweep(opt)} },
-		func() []*Table { return []*Table{FabricSweep(opt)} },
-		func() []*Table { return []*Table{FabricFaultSweep(opt)} },
-		func() []*Table { return []*Table{LayersSweep(opt)} },
-		func() []*Table { return []*Table{LayersPolicySweep(opt)} },
-		func() []*Table { return []*Table{TieringSweep(opt)} },
-		func() []*Table { return []*Table{TieringPolicySweep(opt)} },
-	}
 	var out []*Table
-	for _, tabs := range grid(opt, len(gens), func(i int) []*Table { return gens[i]() }) {
+	for _, tabs := range grid(opt, len(registry), func(i int) []*Table {
+		if !registry[i].inAll {
+			return nil
+		}
+		return registry[i].run(opt)
+	}) {
 		out = append(out, tabs...)
 	}
 	return out
@@ -557,97 +601,26 @@ func ByID(id string, seed int64) ([]*Table, error) {
 	return ByIDWith(id, Options{Seed: seed})
 }
 
-// ByIDWith runs a single experiment with the full option set (fault
-// injection and scheduling knobs included).
+// ByIDWith validates the options, then runs a single experiment (or
+// "all") with them.
 func ByIDWith(id string, opt Options) ([]*Table, error) {
-	switch id {
-	case "faults":
-		if err := opt.validateFaults(); err != nil {
-			return nil, err
-		}
-		return []*Table{FaultSweep(opt)}, nil
-	case "recovery":
-		if err := opt.validateRecovery(); err != nil {
-			return nil, err
-		}
-		return []*Table{RecoverySweep(opt)}, nil
-	case "fabric":
-		if err := opt.validateFabric(); err != nil {
-			return nil, err
-		}
-		return []*Table{FabricSweep(opt)}, nil
-	case "fabric-faults":
-		if err := opt.validateFabric(); err != nil {
-			return nil, err
-		}
-		return []*Table{FabricFaultSweep(opt)}, nil
-	case "layers":
-		if err := opt.validateLayers(); err != nil {
-			return nil, err
-		}
-		return []*Table{LayersSweep(opt)}, nil
-	case "layers-policy":
-		if err := opt.validateLayers(); err != nil {
-			return nil, err
-		}
-		return []*Table{LayersPolicySweep(opt)}, nil
-	case "tiering":
-		if err := opt.validateTiering(); err != nil {
-			return nil, err
-		}
-		return []*Table{TieringSweep(opt)}, nil
-	case "tiering-policy":
-		if err := opt.validateTiering(); err != nil {
-			return nil, err
-		}
-		return []*Table{TieringPolicySweep(opt)}, nil
-	case "table1":
-		return []*Table{TableIWith(opt)}, nil
-	case "fig2", "fig2a", "fig2b":
-		a, b := Fig2With(opt)
-		return []*Table{a, b}, nil
-	case "ablation-inval":
-		return []*Table{AblationInvalidationWith(opt)}, nil
-	case "fig11", "table4":
-		return []*Table{Fig11TableIVWith(opt)}, nil
-	case "table5":
-		return []*Table{TableVWith(opt)}, nil
-	case "fig10":
-		return []*Table{Fig10With(opt)}, nil
-	case "fig12":
-		return []*Table{Fig12With(opt)}, nil
-	case "volume":
-		return []*Table{CommVolumeWith(opt)}, nil
-	case "table6":
-		return []*Table{TableVIWith(opt)}, nil
-	case "fig13":
-		return []*Table{Fig13With(opt)}, nil
-	case "table7":
-		return []*Table{TableVII()}, nil
-	case "table8":
-		return []*Table{TableVIIIWith(opt)}, nil
-	case "lammps":
-		return []*Table{LAMMPS()}, nil
-	case "tune-act":
-		return []*Table{TuneActAfterStepsWith(opt)}, nil
-	case "ablation-dpu":
-		return []*Table{AblationDPUWith(opt)}, nil
-	case "time-to-loss":
-		return []*Table{TimeToLossWith(opt)}, nil
-	case "linkspeed":
-		return []*Table{LinkSpeedSweepWith(opt)}, nil
-	case "all":
-		return AllWith(opt), nil
-	default:
+	if !Known(id) {
 		return nil, fmt.Errorf("experiments: unknown id %q", id)
 	}
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	if id == "all" {
+		return AllWith(opt), nil
+	}
+	return lookup(id).run(opt), nil
 }
 
 // IDs lists the runnable experiment ids.
 func IDs() []string {
-	return []string{"table1", "fig2", "ablation-inval", "fig11", "table5", "fig10",
-		"fig12", "volume", "table6", "fig13", "table7", "table8", "lammps",
-		"tune-act", "ablation-dpu", "time-to-loss", "linkspeed", "faults",
-		"recovery", "fabric", "fabric-faults", "layers", "layers-policy",
-		"tiering", "tiering-policy", "all"}
+	ids := make([]string, 0, len(registry)+1)
+	for _, e := range registry {
+		ids = append(ids, e.id)
+	}
+	return append(ids, "all")
 }

@@ -98,6 +98,14 @@ func fabricCfg(replicas, hostPorts, killPort int) core.FabricConfig {
 	}
 }
 
+// fabricFaultReplicas is the fault sweep's data-parallel width (default 4).
+func fabricFaultReplicas(opt Options) int {
+	if opt.Replicas > 0 {
+		return opt.Replicas
+	}
+	return 4
+}
+
 // fabricFaultBERs returns the per-port BER axis of the fault sweep.
 func fabricFaultBERs(opt Options) []float64 {
 	if opt.BER > 0 {
@@ -112,10 +120,7 @@ func fabricFaultBERs(opt Options) []float64 {
 // replicas, redistributed shards, the fault-exposed time and the step-time
 // inflation over the healthy fabric.
 func FabricFaultSweep(opt Options) *Table {
-	replicas := 4
-	if opt.Replicas > 0 {
-		replicas = opt.Replicas
-	}
+	replicas := fabricFaultReplicas(opt)
 	t := &Table{
 		ID: "fabric-faults",
 		Title: fmt.Sprintf("Switched-fabric fault sweep: per-port BER x port failure "+
@@ -187,25 +192,4 @@ func fmtBER(ber float64) string {
 		return "0"
 	}
 	return fmt.Sprintf("%.0e", ber)
-}
-
-// validateFabric rejects fabric options the switch cannot model.
-func (opt Options) validateFabric() error {
-	if opt.Replicas < 0 {
-		return fmt.Errorf("experiments: negative replica count %d", opt.Replicas)
-	}
-	if opt.HostPorts < 0 {
-		return fmt.Errorf("experiments: negative host-port count %d", opt.HostPorts)
-	}
-	replicas := 4 // the fault sweep's default width
-	if opt.Replicas > 0 {
-		replicas = opt.Replicas
-	}
-	if opt.KillPort > replicas {
-		return fmt.Errorf("experiments: kill port %d outside 1..%d", opt.KillPort, replicas)
-	}
-	if opt.KillPort < 0 || opt.KillStep < 0 {
-		return fmt.Errorf("experiments: negative chaos knob (kill_port %d, kill_step %d)", opt.KillPort, opt.KillStep)
-	}
-	return cxl.FaultConfig{Seed: opt.Seed, BER: opt.BER, RetryBudget: opt.RetryBudget}.Validate()
 }

@@ -3,30 +3,35 @@ package experiments
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 )
 
-// Fingerprint returns the canonical 64-bit identity of "experiment id run
-// under these options" — the cache and request-coalescing key of the sweep
-// service. It follows the realtrain configTag / checkpoint ConfigTag
-// scheme (FNV-64a over the %+v image of the canonicalized struct) and
-// canonicalizes by zeroing every knob that is pure scheduling — Workers,
-// NoMemo, PerLine, Ctx, and the CkptDir scratch root — because the
-// determinism harnesses prove those cannot change a single output byte:
-// requests that differ only in scheduling share one cache entry and one
-// in-flight computation.
-//
-// Everything result-affecting stays in the key: the id, Seed, the fault
-// knobs (BER, RetryBudget, Degrade), and the recovery-sweep shape
-// (CkptInterval, CrashAt — recovery is bit-identical by construction, but
-// the sweep's *reported* recovery statistics depend on both).
+// fingerprintVersion heads the canonical encoding. Bump it only when the
+// encoding itself changes: a new knob left at zero is omitted, so adding
+// one keeps every existing fingerprint.
+const fingerprintVersion = "teco-result/v1"
+
+// Fingerprint is the identity of "experiment id under these options", the
+// sweep service's cache and coalescing key: FNV-64a over a versioned
+// name=value encoding of the Result knobs in Knobs order, with an alias
+// resolved to its experiment. The seed is always spelled out, any other
+// knob only when neither zero nor its Default (retry_budget=0 and =8 share
+// a key). Scheduling knobs cannot change an output byte and never enter.
 func (opt Options) Fingerprint(id string) uint64 {
-	c := opt
-	c.Workers = 0
-	c.NoMemo = false
-	c.PerLine = false
-	c.Ctx = nil
-	c.CkptDir = ""
+	if e := lookup(id); e != nil {
+		id = e.id
+	}
+	b := fmt.Appendf(make([]byte, 0, 128), "%s|%s", fingerprintVersion, id)
+	for i := range Knobs {
+		k := &Knobs[i]
+		v := reflect.ValueOf(k.Field(&opt)).Elem()
+		x, numeric := k.value(&opt)
+		if k.Class != Result || k.Name != "seed" && (v.IsZero() || numeric && x == k.Default) {
+			continue
+		}
+		b = fmt.Appendf(b, "|%s=%#v", k.Name, v)
+	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%+v", id, c)
+	h.Write(b)
 	return h.Sum64()
 }

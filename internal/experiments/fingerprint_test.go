@@ -53,6 +53,51 @@ func TestFingerprintResultSensitivity(t *testing.T) {
 	}
 }
 
+// TestFingerprintPinned: the canonical encoding is a compatibility
+// surface — every tecosimd cache entry lives under it — so literal keys are
+// pinned. Each is FNV-64a of the spelled-out encoding, e.g.
+// "teco-result/v1|table1|seed=42". Changing one is a deliberate, one-time
+// move of every cache key (bump fingerprintVersion and say so).
+func TestFingerprintPinned(t *testing.T) {
+	for _, c := range []struct {
+		id   string
+		opt  Options
+		want uint64
+	}{
+		{"table1", Options{Seed: 42}, 0xb55af4ba936bb3eb},
+		{"faults", Options{Seed: 42, BER: 1e-6, RetryBudget: 4, Degrade: true}, 0xe0c6fe9161a3e8a6},
+		{"layers-policy", Options{Layers: 12, CachePct: 40, LayerPolicy: "fifo"}, 0xd88fa71308418393},
+		{"tiering", Options{Seed: 7, TierPolicy: "lru", TierDRAMPct: 25, TierMigrateBudget: 64}, 0xa416bac62c60259a},
+	} {
+		if got := c.opt.Fingerprint(c.id); got != c.want {
+			t.Errorf("%s %+v: fingerprint %016x, want %016x", c.id, c.opt, got, c.want)
+		}
+	}
+}
+
+// TestFingerprintCanonical: options that run the same computation share a
+// key — a knob spelled out at the value its zero stands for, and an alias
+// of an experiment id.
+func TestFingerprintCanonical(t *testing.T) {
+	same := []struct {
+		a, b   Options
+		ia, ib string
+	}{
+		{Options{Seed: 42, RetryBudget: 0}, Options{Seed: 42, RetryBudget: 8}, "faults", "faults"},
+		{Options{Seed: 1}, Options{Seed: 1, LayerSeqLen: 1024}, "layers-policy", "layers-policy"},
+		{Options{Seed: 3}, Options{Seed: 3}, "fig11", "table4"},
+		{Options{Seed: 3}, Options{Seed: 3}, "fig2", "fig2b"},
+	}
+	for _, c := range same {
+		if fa, fb := c.a.Fingerprint(c.ia), c.b.Fingerprint(c.ib); fa != fb {
+			t.Errorf("%s %+v (%016x) and %s %+v (%016x) run the same computation", c.ia, c.a, fa, c.ib, c.b, fb)
+		}
+	}
+	if (Options{Seed: 42, RetryBudget: 7}).Fingerprint("faults") == (Options{Seed: 42}).Fingerprint("faults") {
+		t.Fatal("retry_budget=7 shares the default budget's key")
+	}
+}
+
 // TestGridCancellation: a cancelled option context stops the sweep pool and
 // grid returns stable zero values instead of partially-written storage.
 func TestGridCancellation(t *testing.T) {

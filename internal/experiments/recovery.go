@@ -15,10 +15,13 @@ import (
 // finishes in seconds.
 func recoveryTrainConfig(seed int64) realtrain.Config {
 	return realtrain.Config{
-		Steps: 40, PreSteps: 30, Seed: seed,
+		Steps: recoverySteps, PreSteps: 30, Seed: seed,
 		DBA: true, ActAfterSteps: 10, SampleEvery: 5,
 	}
 }
+
+// recoverySteps is the recovery run's length.
+const recoverySteps = 40
 
 // recoveryGrid returns the swept checkpoint intervals and per-step SDC
 // rates. Explicit options collapse the corresponding axis to one value.

@@ -77,7 +77,9 @@ func Seed(base int64, i int) int64 {
 // point index, not completion time) cancels the derived context, stops
 // workers from starting new points, and is returned after every goroutine
 // has exited — Run never leaks goroutines, even on error or cancellation.
-// A canceled ctx aborts the sweep with ctx's error.
+// A canceled ctx aborts the sweep with ctx's error. A panic in fn stops the
+// sweep the same way and is re-raised on the caller's goroutine, where the
+// caller can recover it (a worker's own panic would kill the process).
 func Run[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n < 0 {
 		n = 0
@@ -107,10 +109,17 @@ func Run[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 	var failed atomic.Bool
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var panicked atomic.Pointer[any]
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					panicked.CompareAndSwap(nil, &p)
+					cancel()
+				}
+			}()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || cctx.Err() != nil {
@@ -128,6 +137,9 @@ func Run[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 		}()
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(*p)
+	}
 	if failed.Load() {
 		for _, err := range errs {
 			if err != nil {
@@ -149,7 +161,9 @@ func Run[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 // request deadline is honoured even when a single grid point runs for
 // seconds. On cancellation the returned slice is nil: in-flight points may
 // still be writing into the abandoned result storage, so no partial results
-// can be exposed. A clean completion returns exactly what Run returns.
+// can be exposed. A clean completion returns exactly what Run returns, and
+// a panic in fn is re-raised on the caller's goroutine unless the caller
+// already returned on cancellation.
 func RunCtx[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n < 0 {
 		n = 0
@@ -161,16 +175,25 @@ func RunCtx[T any](ctx context.Context, workers, n int, fn func(ctx context.Cont
 		return Run(ctx, 1, n, fn)
 	}
 	type result struct {
-		out []T
-		err error
+		out      []T
+		err      error
+		panicked *any
 	}
 	done := make(chan result, 1)
 	go func() {
+		defer func() {
+			if p := recover(); p != nil {
+				done <- result{panicked: &p}
+			}
+		}()
 		out, err := Run(ctx, workers, n, fn)
-		done <- result{out, err}
+		done <- result{out: out, err: err}
 	}()
 	select {
 	case r := <-done:
+		if r.panicked != nil {
+			panic(*r.panicked)
+		}
 		return r.out, r.err
 	case <-ctx.Done():
 		// The inner Run observes the same ctx, stops dispatching, joins its

@@ -324,6 +324,32 @@ func TestRunCtxCleanCompletion(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
+// TestWorkerPanicReachesCaller: a panicking point stops the sweep and the
+// panic is re-raised on the caller's goroutine — recoverable there — with
+// every worker joined, for both Run and RunCtx.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	runners := map[string]func(context.Context, int, int, func(context.Context, int) (int, error)) ([]int, error){
+		"Run": Run[int], "RunCtx": RunCtx[int],
+	}
+	for name, run := range runners {
+		before := runtime.NumGoroutine()
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			run(context.Background(), 4, 64, func(_ context.Context, i int) (int, error) {
+				if i == 17 {
+					panic("point 17")
+				}
+				return i, nil
+			})
+			return nil
+		}()
+		if got != "point 17" {
+			t.Fatalf("%s: recovered %v, want the worker's panic", name, got)
+		}
+		waitForGoroutines(t, before)
+	}
+}
+
 func TestGateAdmitsUpToSlots(t *testing.T) {
 	g := NewGate(2, 4)
 	ctx := context.Background()

@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"teco/internal/experiments"
 	"testing"
 
-	"teco/internal/experiments"
 	"teco/internal/fabric"
 	"teco/internal/realtrain"
 )
@@ -83,8 +83,8 @@ func TestStatzExposesFabricCounters(t *testing.T) {
 	}
 }
 
-// TestRunFabricKnobsReachOptions: the /run fabric knobs parse from both the
-// query string and the JSON body and land in experiments.Options.
+// TestRunFabricKnobsReachOptions: the /run fabric knobs parse from the
+// query string and land in experiments.Options.
 func TestRunFabricKnobsReachOptions(t *testing.T) {
 	var got experiments.Options
 	s := newTestServer(t, func(c *Config) {
@@ -93,11 +93,11 @@ func TestRunFabricKnobsReachOptions(t *testing.T) {
 			return []*experiments.Table{{ID: id, Title: "stub", Header: []string{"a"}}}, nil
 		}
 	})
-	_, code := getRun(t, s.Handler(), "id=fabric&seed=1&replicas=2&host_ports=1&kill_port=2&kill_step=9")
+	_, code := getRun(t, s.Handler(), "id=fabric&seed=1&replicas=2&host_ports=1&kill_port=2")
 	if code != http.StatusOK {
 		t.Fatalf("HTTP %d", code)
 	}
-	if got.Replicas != 2 || got.HostPorts != 1 || got.KillPort != 2 || got.KillStep != 9 {
+	if got.Replicas != 2 || got.HostPorts != 1 || got.KillPort != 2 {
 		t.Fatalf("fabric knobs lost in transit: %+v", got)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"sync"
 )
 
@@ -48,7 +49,7 @@ func (g *flightGroup) do(ctx, base context.Context, key uint64, fn func(context.
 		c = &flightCall{done: make(chan struct{}), cancel: cancel, refs: 0}
 		g.calls[key] = c
 		go func() {
-			v, err := fn(runCtx)
+			v, err := call(runCtx, fn)
 			g.mu.Lock()
 			c.val, c.err = v, err
 			delete(g.calls, key)
@@ -73,6 +74,17 @@ func (g *flightGroup) do(ctx, base context.Context, key uint64, fn func(context.
 		}
 		return nil, shared, ctx.Err()
 	}
+}
+
+// call runs fn, turning a panic (a generator bug, here or re-raised from a
+// sweep-pool worker) into an error: a 500 for its waiters, not a dead daemon.
+func call(ctx context.Context, fn func(context.Context) ([]byte, error)) (v []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			v, err = nil, fmt.Errorf("generator panic: %v", p)
+		}
+	}()
+	return fn(ctx)
 }
 
 // inFlight returns the number of distinct computations currently running.

@@ -129,8 +129,7 @@ type Server struct {
 	draining   atomic.Bool
 	reqWG      sync.WaitGroup
 
-	validIDs map[string]bool
-	mux      *http.ServeMux
+	mux *http.ServeMux
 
 	requests, hits, computes, coalesced atomic.Int64
 	shed, timeouts, rejected, putErrors atomic.Int64
@@ -169,20 +168,16 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	s := &Server{
-		cfg:      cfg,
-		cache:    cache,
-		gate:     parallel.NewGate(cfg.Slots, cfg.QueueDepth),
-		flights:  newFlightGroup(),
-		run:      cfg.Run,
-		validIDs: make(map[string]bool),
+		cfg:     cfg,
+		cache:   cache,
+		gate:    parallel.NewGate(cfg.Slots, cfg.QueueDepth),
+		flights: newFlightGroup(),
+		run:     cfg.Run,
 	}
 	if s.run == nil {
 		s.run = func(_ context.Context, id string, opt experiments.Options) ([]*experiments.Table, error) {
 			return experiments.ByIDWith(id, opt)
 		}
-	}
-	for _, id := range experiments.IDs() {
-		s.validIDs[id] = true
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
@@ -253,65 +248,19 @@ func (s *Server) Kill() {
 	s.baseCancel()
 }
 
-// Request is the /run request body (POST) or query string (GET).
+// Request is the fixed part of a /run request, sent as a JSON body (POST)
+// or a query string (GET). Every Result knob of experiments.Knobs — the
+// seed among them — is read from the same object or query by its wire
+// name; scheduling knobs (workers, no_memo, ckpt_dir, coalesce) are the
+// server's own and never read from the wire.
 type Request struct {
-	// ID is the experiment id (tecosim -list).
+	// ID is the experiment id (tecosim -list) or one of its aliases.
 	ID string `json:"id"`
 	// Seed drives the randomized experiments; 0 is a valid seed.
 	Seed int64 `json:"seed"`
-	// Fault-model and recovery knobs, mirroring tecosim's flags.
-	BER          float64 `json:"ber,omitempty"`
-	RetryBudget  int     `json:"retry_budget,omitempty"`
-	Degrade      bool    `json:"degrade,omitempty"`
-	CkptInterval int     `json:"ckpt_interval,omitempty"`
-	CrashAt      int     `json:"crash_at,omitempty"`
-	// Switched-fabric knobs, mirroring tecosim's -replicas/-host-ports/
-	// -kill-port/-kill-step flags.
-	Replicas  int `json:"replicas,omitempty"`
-	HostPorts int `json:"host_ports,omitempty"`
-	KillPort  int `json:"kill_port,omitempty"`
-	KillStep  int `json:"kill_step,omitempty"`
-	// Per-layer offload knobs, mirroring tecosim's -layers/-cache-pct/
-	// -prefetch/-layer-policy/-layer-seq-len flags.
-	Layers        int    `json:"layers,omitempty"`
-	CachePct      int    `json:"cache_pct,omitempty"`
-	PrefetchDepth int    `json:"prefetch,omitempty"`
-	LayerPolicy   string `json:"layer_policy,omitempty"`
-	LayerSeqLen   int    `json:"layer_seq_len,omitempty"`
-	// Heterogeneous-tiering knobs, mirroring tecosim's -tier-policy/
-	// -tier-dram-pct/-tier-migrate-budget flags.
-	TierPolicy        string `json:"tier_policy,omitempty"`
-	TierDRAMPct       int    `json:"tier_dram_pct,omitempty"`
-	TierMigrateBudget int    `json:"tier_migrate_budget,omitempty"`
 	// TimeoutMs overrides the server's default per-request deadline,
 	// capped at Config.MaxTimeout.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-}
-
-// options maps a request onto the experiment option set. Scheduling knobs
-// (Workers, Ctx) are the server's own and never reach the fingerprint.
-func (s *Server) options(req Request) experiments.Options {
-	return experiments.Options{
-		Seed:              req.Seed,
-		BER:               req.BER,
-		RetryBudget:       req.RetryBudget,
-		Degrade:           req.Degrade,
-		CkptInterval:      req.CkptInterval,
-		CrashAt:           req.CrashAt,
-		Replicas:          req.Replicas,
-		HostPorts:         req.HostPorts,
-		KillPort:          req.KillPort,
-		KillStep:          req.KillStep,
-		Layers:            req.Layers,
-		CachePct:          req.CachePct,
-		PrefetchDepth:     req.PrefetchDepth,
-		LayerPolicy:       req.LayerPolicy,
-		LayerSeqLen:       req.LayerSeqLen,
-		TierPolicy:        req.TierPolicy,
-		TierDRAMPct:       req.TierDRAMPct,
-		TierMigrateBudget: req.TierMigrateBudget,
-		Workers:           s.cfg.Workers,
-	}
 }
 
 // cacheKey derives the content address for a request: the canonical config
@@ -372,50 +321,40 @@ func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(s.Stats())
 }
 
-// parseRequest accepts a JSON body (POST) or query parameters (GET).
-func parseRequest(r *http.Request) (Request, error) {
-	var req Request
+// parseRequest reads a JSON body (POST) or query parameters (GET). A JSON
+// value is read as its string, else its literal text, so both transports
+// share one parser per knob (experiments.Knob.Set).
+func parseRequest(r *http.Request) (req Request, opt experiments.Options, err error) {
+	get := r.URL.Query().Get
 	if r.Method == http.MethodPost {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			return req, fmt.Errorf("bad JSON body: %v", err)
+		var body map[string]json.RawMessage
+		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+			return req, opt, fmt.Errorf("bad JSON body: %v", err)
 		}
-		return req, nil
-	}
-	q := r.URL.Query()
-	req.ID = q.Get("id")
-	req.LayerPolicy = q.Get("layer_policy")
-	req.TierPolicy = q.Get("tier_policy")
-	var err error
-	num := func(name string, dst *int64) {
-		if v := q.Get(name); v != "" && err == nil {
-			*dst, err = strconv.ParseInt(v, 10, 64)
+		get = func(name string) string {
+			var s string
+			if raw := body[name]; json.Unmarshal(raw, &s) != nil {
+				return string(raw)
+			}
+			return s
 		}
 	}
-	num("seed", &req.Seed)
-	num("timeout_ms", &req.TimeoutMs)
-	var i64 int64
-	for name, dst := range map[string]*int{
-		"retry_budget": &req.RetryBudget, "ckpt_interval": &req.CkptInterval, "crash_at": &req.CrashAt,
-		"replicas": &req.Replicas, "host_ports": &req.HostPorts,
-		"kill_port": &req.KillPort, "kill_step": &req.KillStep,
-		"layers": &req.Layers, "cache_pct": &req.CachePct,
-		"prefetch": &req.PrefetchDepth, "layer_seq_len": &req.LayerSeqLen,
-		"tier_dram_pct": &req.TierDRAMPct, "tier_migrate_budget": &req.TierMigrateBudget,
-	} {
-		i64 = 0
-		num(name, &i64)
-		*dst = int(i64)
+	req.ID = get("id")
+	if v := get("timeout_ms"); v != "" {
+		if req.TimeoutMs, err = strconv.ParseInt(v, 10, 64); err != nil {
+			return req, opt, fmt.Errorf("bad parameter timeout_ms: %v", err)
+		}
 	}
-	if v := q.Get("ber"); v != "" && err == nil {
-		req.BER, err = strconv.ParseFloat(v, 64)
+	for i := range experiments.Knobs {
+		k := &experiments.Knobs[i]
+		if v := get(k.Name); v != "" && k.Class == experiments.Result {
+			if err := k.Set(&opt, v); err != nil {
+				return req, opt, fmt.Errorf("bad parameter %v", err)
+			}
+		}
 	}
-	if v := q.Get("degrade"); v != "" && err == nil {
-		req.Degrade, err = strconv.ParseBool(v)
-	}
-	if err != nil {
-		return req, fmt.Errorf("bad query parameter: %v", err)
-	}
-	return req, nil
+	req.Seed = opt.Seed
+	return req, opt, nil
 }
 
 // encodeTables is the canonical payload serialization: compact JSON of the
@@ -444,17 +383,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	req, err := parseRequest(r)
+	req, opt, err := parseRequest(r)
+	if err == nil {
+		err = opt.Validate()
+	}
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !s.validIDs[req.ID] {
+	if !experiments.Known(req.ID) {
 		s.writeError(w, http.StatusBadRequest, "unknown experiment id %q (GET /experiments lists them)", req.ID)
 		return
 	}
 	s.requests.Add(1)
-	opt := s.options(req)
+	opt.Workers = s.cfg.Workers
 	key := cacheKey(req.ID, opt)
 	keyHex := fmt.Sprintf("%016x", key)
 

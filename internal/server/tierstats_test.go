@@ -4,9 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"teco/internal/experiments"
 	"testing"
 
-	"teco/internal/experiments"
 	"teco/internal/realtrain"
 	"teco/internal/tiering"
 )
