@@ -6,7 +6,7 @@ GO ?= go
 
 all: build vet test
 
-# Full verification gate: vet, race-enabled tests over the whole tree (the
+# Full verification gate: gofmt, vet, race-enabled tests over the whole tree (the
 # training hot loops and the sweep runner are concurrent now, so the race
 # detector must see the long numeric runs too, not just -short),
 # short native fuzz runs over the CXL packet decoder and the checkpoint
@@ -15,6 +15,7 @@ all: build vet test
 # The benchmark is a nested module that `./...` never sees, so it is vetted
 # and built on its own: an internal API change cannot break it silently.
 check:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	cd tecobench && $(GO) vet . && $(GO) build -o /dev/null .
 	$(GO) test -race -timeout 40m ./...

@@ -5,8 +5,8 @@ import (
 	"fmt"
 
 	"teco/internal/conformance/check"
-	"teco/internal/dba"
 	"teco/internal/cxl"
+	"teco/internal/dba"
 	"teco/internal/fabric"
 	"teco/internal/mem"
 	"teco/internal/modelzoo"

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"teco/internal/conformance/check"
-	"teco/internal/cxl"
-	"teco/internal/mem"
 	"teco/internal/modelzoo"
 	"teco/internal/phases"
 	"teco/internal/sim"
@@ -79,99 +77,6 @@ func perLayerActBytes(m modelzoo.Model, batch int) int64 {
 	return m.ActivationBytes(batch) / int64(m.Layers)
 }
 
-// layerPlane is the staging plane of one layered step: the residency model
-// plus the fetch/writeback links and the per-layer completion times.
-type layerPlane struct {
-	res       *staging.Residency
-	fetch     *cxl.Link
-	wb        *cxl.Link
-	fetchS    *cxl.Stream
-	wbS       *cxl.Stream
-	sizes     []int64
-	fetchDone []sim.Time // per-layer param fetch completion (0: none in flight)
-	actDone   []sim.Time // per-layer activation refetch completion
-	actBytes  int64
-	wire      int
-
-	stats phases.LayerStats
-}
-
-// use walks one demand access at cursor t and returns the stall compute
-// must absorb before layer k can execute.
-func (p *layerPlane) use(k int, t sim.Time) sim.Time {
-	miss, _ := p.res.Use(k, k)
-	if miss {
-		fr := p.fetchS.PushRun(t, int(p.sizes[k]), mem.LinesIn(p.sizes[k]), 0, p.wire, false)
-		p.stats.DemandMisses++
-		p.stats.FetchBytes += p.sizes[k]
-		stall := fr.Done - t
-		p.stats.DemandStall += stall
-		p.fetchDone[k] = 0
-		return stall
-	}
-	p.stats.Hits++
-	if done := p.fetchDone[k]; done > t {
-		// A prefetch raced ahead of use but compute outran the wire: only
-		// the residual is exposed.
-		p.stats.PrefetchHits++
-		p.fetchDone[k] = 0
-		stall := done - t
-		p.stats.PrefetchStall += stall
-		return stall
-	}
-	if p.fetchDone[k] != 0 {
-		p.stats.PrefetchHits++
-		p.fetchDone[k] = 0
-	}
-	return 0
-}
-
-// prefetch issues the eager fetch of layer j while layer k executes at t.
-func (p *layerPlane) prefetch(j, k int, t sim.Time) {
-	if !p.res.Prefetch(j, k) {
-		return
-	}
-	fr := p.fetchS.PushRun(t, int(p.sizes[j]), mem.LinesIn(p.sizes[j]), 0, p.wire, false)
-	p.stats.PrefetchIssued++
-	p.stats.FetchBytes += p.sizes[j]
-	p.fetchDone[j] = fr.Done
-}
-
-// spillAct writes layer k's activations to the far tier at t (off the
-// critical path; the writeback fence at the end surfaces any exposure).
-func (p *layerPlane) spillAct(t sim.Time) {
-	p.wbS.PushRun(t, int(p.actBytes), mem.LinesIn(p.actBytes), 0, p.wire, false)
-	p.stats.WritebackBytes += p.actBytes
-}
-
-// fetchAct refetches layer k's activations for backward: demand-issued at
-// t unless prefetchAct already has them in flight.
-func (p *layerPlane) fetchAct(k int, t sim.Time) sim.Time {
-	done := p.actDone[k]
-	if done == 0 {
-		fr := p.fetchS.PushRun(t, int(p.actBytes), mem.LinesIn(p.actBytes), 0, p.wire, false)
-		done = fr.Done
-		p.stats.FetchBytes += p.actBytes
-	}
-	p.actDone[k] = 0
-	if done > t {
-		stall := done - t
-		p.stats.ActStall += stall
-		return stall
-	}
-	return 0
-}
-
-// prefetchAct issues the eager activation refetch of layer j at t.
-func (p *layerPlane) prefetchAct(j int, t sim.Time) {
-	if p.actDone[j] != 0 {
-		return
-	}
-	fr := p.fetchS.PushRun(t, int(p.actBytes), mem.LinesIn(p.actBytes), 0, p.wire, false)
-	p.stats.FetchBytes += p.actBytes
-	p.actDone[j] = fr.Done
-}
-
 // StepLayered simulates one training step under per-layer offload
 // scheduling. The compute and coherence planes are exactly Step's; the
 // staging plane adds the layer-migration traffic and its exposed stalls.
@@ -209,89 +114,101 @@ func (e *Engine) StepLayered(m modelzoo.Model, batch int, lc LayerConfig) (phase
 	// Compute + coherence planes: the ordinary TECO step, untouched.
 	out := e.Step(m, batch)
 
-	// Staging plane: its own engine and link pair — far-tier layer
-	// migration shares no queue with the coherence streams.
-	eng := sim.New()
-	p := &layerPlane{
-		res:       res,
-		fetch:     cxl.NewLink(eng, e.LinkBandwidth, e.QueueCap),
-		wb:        cxl.NewLink(eng, e.LinkBandwidth, e.QueueCap),
-		sizes:     sizes,
-		fetchDone: make([]sim.Time, m.Layers),
-		actDone:   make([]sim.Time, m.Layers),
-		wire:      cxl.WirePacketBytes(0),
-	}
-	p.fetchS = cxl.NewStream(p.fetch, e.Config.PerLine)
-	p.wbS = cxl.NewStream(p.wb, e.Config.PerLine)
+	// Staging plane: parameter slots 0..L-1, activation slots L..2L-1.
+	p := newSlotPlane(e, 2*m.Layers)
+	var actBytes int64
 	if lc.ActOffload {
-		p.actBytes = perLayerActBytes(m, batch)
+		actBytes = perLayerActBytes(m, batch)
 	}
-	p.stats.Layers = int64(m.Layers)
-	p.stats.CacheBytes = res.Capacity()
-
 	fwd := e.GPU.ForwardTime(m, batch)
 	bwd := e.GPU.BackwardTime(m, batch)
-	n := int64(m.Layers)
-	last := m.Layers - 1
+	n := m.Layers
+	last := n - 1
+	var demandStall, prefetchStall sim.Time
+	// use walks one demand access to parameter slot k at t and returns the
+	// stall compute must absorb before layer k can execute.
+	use := func(k int, t sim.Time) sim.Time {
+		miss, _ := res.Use(k, k)
+		stall := p.access(k, !miss, sizes[k], t)
+		if miss {
+			demandStall += stall
+		} else {
+			prefetchStall += stall
+		}
+		return stall
+	}
+	prefetch := func(j, k int, t sim.Time) {
+		if res.Prefetch(j, k) {
+			p.load(j, sizes[j], t)
+		}
+	}
 
-	// Forward walk: layer k computes over its telescoped share of the
-	// forward time while the prefetch window pulls k+1..k+P.
+	// Forward walk: layer k computes over its share of the forward time
+	// while the prefetch window pulls k+1..k+P; its activations spill to
+	// the far tier behind it.
 	var cursor, prmStall, actStall sim.Time
 	for k := 0; k <= last; k++ {
-		prmStall += p.use(k, cursor)
+		prmStall += use(k, cursor)
 		for j := k + 1; j <= k+lc.Prefetch && j <= last; j++ {
-			p.prefetch(j, k, cursor)
+			prefetch(j, k, cursor)
 		}
-		if p.actBytes > 0 {
-			p.spillAct(cursor)
+		if actBytes > 0 {
+			p.push(n+k, actBytes, cursor)
 		}
-		cursor += fwd*sim.Time(int64(k)+1)/sim.Time(n) - fwd*sim.Time(int64(k))/sim.Time(n)
+		cursor += share(fwd, k, n)
 	}
 	// Backward walk in reverse, prefetching downward; spilled activations
 	// stream back in before each layer's backward.
 	for k := last; k >= 0; k-- {
-		prmStall += p.use(k, cursor)
+		prmStall += use(k, cursor)
 		for j := k - 1; j >= k-lc.Prefetch && j >= 0; j-- {
-			p.prefetch(j, k, cursor)
-			if p.actBytes > 0 {
-				p.prefetchAct(j, cursor)
+			prefetch(j, k, cursor)
+			if actBytes > 0 && p.arrive[n+j] == 0 {
+				p.load(n+j, actBytes, cursor)
 			}
 		}
-		if p.actBytes > 0 {
-			actStall += p.fetchAct(k, cursor)
+		if actBytes > 0 {
+			actStall += p.access(n+k, p.arrive[n+k] != 0, actBytes, cursor)
 		}
-		i := int64(last - k)
-		cursor += bwd*sim.Time(i+1)/sim.Time(n) - bwd*sim.Time(i)/sim.Time(n)
+		cursor += share(bwd, last-k, n)
+	}
+	// The counters are the residency's own; every layer's activations went
+	// out once and came back once.
+	rs := res.Stats()
+	actVolume := int64(n) * actBytes
+	st := phases.LayerStats{
+		Layers:         int64(n),
+		CacheBytes:     res.Capacity(),
+		ResidentBytes:  res.ResidentBytes(),
+		Hits:           rs.Hits,
+		PrefetchHits:   rs.PrefetchHits,
+		DemandMisses:   rs.DemandMisses,
+		PrefetchIssued: rs.PrefetchIssued,
+		Evictions:      rs.Evictions,
+		FetchBytes:     rs.LoadedBytes + actVolume,
+		WritebackBytes: actVolume,
+		DemandStall:    demandStall,
+		PrefetchStall:  prefetchStall,
+		ActStall:       actStall,
 	}
 	// Evicted parameter layers are clean (the CPU master copy is
 	// authoritative), so evictions are free; the only writeback exposure
 	// is the activation spill still in flight when backward needs the bus.
-	if p.actBytes > 0 {
-		actStall += p.wb.Fence(cursor) - cursor
+	if actBytes > 0 {
+		actStall += p.wb.Link().Fence(cursor) - cursor
 	}
-
-	rs := res.Stats()
-	p.stats.ResidentBytes = res.ResidentBytes()
-	p.stats.Evictions = rs.Evictions
 	// The staging plane is a separate far-tier interconnect: its volumes
-	// stay in LayerStats (FetchBytes/WritebackBytes) rather than folding
-	// into the coherence link counters, but its exposed latency is real
-	// step time — param stalls extend Prm, activation stalls and spill
-	// exposure extend Grad.
+	// stay in LayerStats rather than folding into the coherence link
+	// counters, but its exposed latency is real step time — param stalls
+	// extend Prm, activation stalls and spill exposure extend Grad.
 	out.Prm += prmStall
 	out.Grad += actStall
-	out.Layer = p.stats
+	out.Layer = st
 
 	// Both scheduler halves feed the process-wide /statz telemetry.
-	staging.RecordSchedStep(staging.ResidencyStats{
-		Hits:           p.stats.Hits,
-		PrefetchHits:   p.stats.PrefetchHits,
-		DemandMisses:   p.stats.DemandMisses,
-		PrefetchIssued: p.stats.PrefetchIssued,
-		LoadedBytes:    p.stats.FetchBytes,
-	})
-	if p.stats.WritebackBytes > 0 {
-		staging.RecordWriteback(p.stats.WritebackBytes)
+	res.RecordSchedStep()
+	if st.WritebackBytes > 0 {
+		staging.RecordWriteback(st.WritebackBytes)
 	}
 
 	if check.Enabled() {

@@ -8,6 +8,7 @@ import (
 	"teco/internal/conformance/check"
 	"teco/internal/cxl"
 	"teco/internal/modelzoo"
+	"teco/internal/staging"
 )
 
 // TestStepLayeredAllResidentMatchesStep is the degradation guarantee: when
@@ -141,6 +142,57 @@ func TestStepLayeredActOffload(t *testing.T) {
 	// phases must be untouched.
 	if spill.Fwd != plain.Fwd || spill.Bwd != plain.Bwd {
 		t.Fatal("activation offload changed the compute phases")
+	}
+}
+
+// TestStepLayeredTelemetryMatchesStats: the /statz layer counters move by
+// exactly the step's own LayerStats, and loaded_bytes means parameter-slot
+// loads only — activation refetches stay in LayerStats.FetchBytes. The
+// counters are process-global, so the test asserts deltas (no core test
+// runs in parallel).
+func TestStepLayeredTelemetryMatchesStats(t *testing.T) {
+	check.Enable(t)
+	e := MustEngine(Config{})
+	m := modelzoo.GPT2()
+	params := LayerConfig{CacheBytes: m.ParamBytes() * 2 / 5, Prefetch: 1, SeqLen: 512}
+	acts := params
+	acts.ActOffload = true
+
+	paramOnly, err := e.StepLayered(m, 4, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := staging.Counters()
+	got, err := e.StepLayered(m, 4, acts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := staging.Counters()
+
+	l := got.Layer
+	if l.Evictions == 0 || l.PrefetchHits == 0 || l.WritebackBytes == 0 {
+		t.Fatalf("step exercised no churn, prefetch or spill: %+v", l)
+	}
+	for _, c := range []struct {
+		name      string
+		tele, got int64
+	}{
+		{"hits", after.Hits - before.Hits, l.Hits},
+		{"prefetch_hits", after.PrefetchHits - before.PrefetchHits, l.PrefetchHits},
+		{"demand_misses", after.DemandMisses - before.DemandMisses, l.DemandMisses},
+		{"prefetch_issued", after.PrefetchIssued - before.PrefetchIssued, l.PrefetchIssued},
+		{"evictions", after.Evictions - before.Evictions, l.Evictions},
+		{"writeback_bytes", after.WritebackBytes - before.WritebackBytes, l.WritebackBytes},
+		{"sched_steps", after.SchedSteps - before.SchedSteps, 1},
+		// Parameter traffic does not depend on activation offload.
+		{"loaded_bytes", after.LoadedBytes - before.LoadedBytes, paramOnly.Layer.FetchBytes},
+	} {
+		if c.tele != c.got {
+			t.Errorf("/statz %s moved by %d, want %d", c.name, c.tele, c.got)
+		}
+	}
+	if l.FetchBytes <= paramOnly.Layer.FetchBytes {
+		t.Fatalf("activation refetches missing from FetchBytes: %d vs param-only %d", l.FetchBytes, paramOnly.Layer.FetchBytes)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"teco/internal/conformance/check"
-	"teco/internal/cxl"
-	"teco/internal/mem"
 	"teco/internal/modelzoo"
 	"teco/internal/phases"
 	"teco/internal/sim"
@@ -89,61 +87,6 @@ func tierSlotBytes(m modelzoo.Model, optSlots bool) []int64 {
 	return sizes
 }
 
-// tieredPlane is the tiering plane of one tiered run: the placement
-// controller plus the promote/demote links and per-slot arrival times.
-type tieredPlane struct {
-	ctl    *tiering.Controller
-	fetch  *cxl.Link
-	wb     *cxl.Link
-	fetchS *cxl.Stream
-	wbS    *cxl.Stream
-	arrive []sim.Time // per-slot promotion completion (0: none in flight)
-	wire   int
-
-	stats phases.TierStats
-}
-
-// migrate prices this step's planned migrations as background stream
-// traffic at t: promotions stream far→fast on the fetch link — ahead of
-// the step's demand fetches, competing for the same bandwidth — and
-// demotions stream fast→far on the writeback link.
-func (p *tieredPlane) migrate(ms []tiering.Migration, t sim.Time) {
-	for _, mg := range ms {
-		if mg.Promote {
-			fr := p.fetchS.PushRun(t, int(mg.Bytes), mem.LinesIn(mg.Bytes), 0, p.wire, false)
-			p.arrive[mg.Slot] = fr.Done
-			p.stats.PromotedBytes += mg.Bytes
-		} else {
-			p.wbS.PushRun(t, int(mg.Bytes), mem.LinesIn(mg.Bytes), 0, p.wire, false)
-			p.arrive[mg.Slot] = 0
-			p.stats.DemotedBytes += mg.Bytes
-		}
-		p.stats.Migrations++
-	}
-}
-
-// touch walks one demand access to slot k at cursor t and returns the
-// exposed stall: zero on a settled fast hit, the full stream time on a far
-// access, and only the residual wait when a still-arriving promotion races
-// the access.
-func (p *tieredPlane) touch(k int, t sim.Time) sim.Time {
-	if !p.ctl.Touch(k) {
-		sz := p.ctl.Size(k)
-		fr := p.fetchS.PushRun(t, int(sz), mem.LinesIn(sz), 0, p.wire, false)
-		p.stats.FarAccesses++
-		p.stats.FarFetchBytes += sz
-		return fr.Done - t
-	}
-	p.stats.FastHits++
-	if done := p.arrive[k]; done != 0 {
-		p.arrive[k] = 0
-		if done > t {
-			return done - t
-		}
-	}
-	return 0
-}
-
 // addStep accumulates one step's result into a run aggregate: every
 // additive field sums, Degraded ORs.
 func addStep(a, s phases.StepResult) phases.StepResult {
@@ -198,72 +141,73 @@ func (e *Engine) RunTiered(m modelzoo.Model, batch int, tc TierConfig) (phases.S
 		return phases.StepResult{}, TierTrace{}, err
 	}
 
-	// Tiering plane: its own engine and link pair, like the staging plane —
-	// tier migration shares no queue with the coherence streams.
-	eng := sim.New()
-	p := &tieredPlane{
-		ctl:    ctl,
-		fetch:  cxl.NewLink(eng, e.LinkBandwidth, e.QueueCap),
-		wb:     cxl.NewLink(eng, e.LinkBandwidth, e.QueueCap),
-		arrive: make([]sim.Time, len(sizes)),
-		wire:   cxl.WirePacketBytes(0),
-	}
-	p.fetchS = cxl.NewStream(p.fetch, e.Config.PerLine)
-	p.wbS = cxl.NewStream(p.wb, e.Config.PerLine)
-	p.stats.Slots = int64(len(sizes))
-	p.stats.FastBytes = ctl.Capacity()
-
+	// Tiering plane: a slot plane of its own, like the staging plane's.
+	p := newSlotPlane(e, len(sizes))
 	pslot := func(k int) int {
 		if tc.OptSlots {
 			return 2 * k
 		}
 		return k
 	}
+	var farFetchBytes int64
+	// touch walks one demand access to slot k at t and returns the exposed
+	// stall.
+	touch := func(k int, t sim.Time) sim.Time {
+		fast, sz := ctl.Touch(k), ctl.Size(k)
+		if !fast {
+			farFetchBytes += sz
+		}
+		return p.access(k, fast, sz, t)
+	}
 
 	var agg phases.StepResult
-	var cursor sim.Time
-	n := sim.Time(int64(m.Layers))
-	last := m.Layers - 1
+	var cursor, farStall, adamStall sim.Time
+	n := m.Layers
 	for s := 0; s < steps; s++ {
 		// Compute + coherence planes: the ordinary TECO step, untouched.
 		out := e.Step(m, batch)
 
 		// Migrations planned from the heat recorded so far, excluding the
-		// slot of the layer about to execute, priced at step start.
-		p.migrate(ctl.PlanStep(pslot(0)), cursor)
-
-		var farStall, adamStall sim.Time
-		stepStart := cursor
-
-		// Forward walk: layer k touches its parameter slot over its
-		// telescoped share of the forward time.
-		for k := 0; k <= last; k++ {
-			farStall += p.touch(pslot(k), cursor)
-			cursor += out.Fwd*sim.Time(int64(k)+1)/n - out.Fwd*sim.Time(int64(k))/n
+		// slot of the layer about to execute, priced at step start as
+		// background traffic: promotions stream far→fast ahead of the
+		// step's demand fetches, competing for the same bandwidth, and
+		// demotions stream fast→far.
+		for _, mg := range ctl.PlanStep(pslot(0)) {
+			if mg.Promote {
+				p.load(mg.Slot, mg.Bytes, cursor)
+			} else {
+				p.push(mg.Slot, mg.Bytes, cursor)
+			}
 		}
-		// Backward walk in reverse.
-		for k := last; k >= 0; k-- {
-			farStall += p.touch(pslot(k), cursor)
-			i := sim.Time(int64(last - k))
-			cursor += out.Bwd*(i+1)/n - out.Bwd*i/n
+
+		var fwdStall, updStall sim.Time
+		stepStart := cursor
+		// Forward walk: layer k touches its parameter slot over its share
+		// of the forward time; backward walks in reverse.
+		for k := 0; k < n; k++ {
+			fwdStall += touch(pslot(k), cursor)
+			cursor += share(out.Fwd, k, n)
+		}
+		for k := n - 1; k >= 0; k-- {
+			fwdStall += touch(pslot(k), cursor)
+			cursor += share(out.Bwd, n-1-k, n)
 		}
 		cursor += out.Grad
 		// Update pass: the CPU reads/writes master parameters and, in
 		// OptSlots mode, the ADAM moments, over the clip+ADAM window.
 		upd := out.Clip + out.Adam
-		for k := 0; k <= last; k++ {
-			adamStall += p.touch(pslot(k), cursor)
+		for k := 0; k < n; k++ {
+			updStall += touch(pslot(k), cursor)
 			if tc.OptSlots {
-				adamStall += p.touch(2*k+1, cursor)
+				updStall += touch(2*k+1, cursor)
 			}
-			cursor += upd*sim.Time(int64(k)+1)/n - upd*sim.Time(int64(k))/n
+			cursor += share(upd, k, n)
 		}
 
-		out.Prm += farStall
-		out.Adam += adamStall
-		p.stats.FarStall += farStall
-		p.stats.AdamStall += adamStall
-		p.stats.Steps++
+		out.Prm += fwdStall
+		out.Adam += updStall
+		farStall += fwdStall
+		adamStall += updStall
 		// The next step starts after this one's full critical path.
 		cursor = stepStart + out.Total()
 
@@ -272,14 +216,23 @@ func (e *Engine) RunTiered(m modelzoo.Model, batch int, tc TierConfig) (phases.S
 		}
 		agg = addStep(agg, out)
 	}
-	// Demotion writebacks still in flight at run end are off the critical
-	// path (the fast-tier copy was authoritative until the stream fenced).
-	p.wb.Fence(cursor)
 
 	st := ctl.Stats()
-	p.stats.ResidentBytes = st.ResidentBytes
-	p.stats.Deferred = st.Deferred
-	agg.Tier = p.stats
+	agg.Tier = phases.TierStats{
+		Slots:         st.Slots,
+		Steps:         st.PlanSteps,
+		FastBytes:     st.FastBytes,
+		ResidentBytes: st.ResidentBytes,
+		FastHits:      st.FastHits,
+		FarAccesses:   st.FarAccesses,
+		FarFetchBytes: farFetchBytes,
+		Migrations:    st.Migrations,
+		PromotedBytes: st.PromotedBytes,
+		DemotedBytes:  st.DemotedBytes,
+		Deferred:      st.Deferred,
+		FarStall:      farStall,
+		AdamStall:     adamStall,
+	}
 
 	trace := TierTrace{
 		Sizes:     sizes,

@@ -42,6 +42,15 @@ type segmented interface {
 	Segments() []Segment
 }
 
+// segmentsOf returns the model's layer-granular segmentation, or the whole
+// vector as one block.
+func segmentsOf(model proxyModel) []Segment {
+	if sm, ok := model.(segmented); ok {
+		return sm.Segments()
+	}
+	return []Segment{{Name: "block", Lo: 0, Hi: model.NumParams()}}
+}
+
 // stageChunkWords is the staging double-buffer half size: 4096 FP32 words
 // = 16 KiB, the same fixed quantum the parallel chunking uses.
 const stageChunkWords = 4096
@@ -98,12 +107,7 @@ func (c Config) schedEnabled() bool {
 // newScheduler builds the offload scheduler for a model. The segmentation
 // must tile the parameter vector exactly.
 func newScheduler(model proxyModel, cfg Config, tokensPer int) (*OffloadScheduler, error) {
-	var segs []Segment
-	if sm, ok := model.(segmented); ok {
-		segs = sm.Segments()
-	} else {
-		segs = []Segment{{Name: "block", Lo: 0, Hi: model.NumParams()}}
-	}
+	segs := segmentsOf(model)
 	off := 0
 	for i, s := range segs {
 		if s.Lo != off || s.Hi <= s.Lo {
@@ -158,8 +162,6 @@ func newScheduler(model proxyModel, cfg Config, tokensPer int) (*OffloadSchedule
 // double buffer. It is the scheduled replacement for the trainer's
 // whole-vector transfer and computes bit-identical compute parameters.
 func (s *OffloadScheduler) Step(compute, master, grads []float32, active bool, dirtyBytes, workers, prefetch, batch int) error {
-	before := s.res.Stats()
-
 	// Forward traversal: layer k executes while the prefetch window pulls
 	// k+1..k+P into the fast tier.
 	last := len(s.segs) - 1
@@ -207,14 +209,7 @@ func (s *OffloadScheduler) Step(compute, master, grads []float32, active bool, d
 	}
 
 	s.steps++
-	after := s.res.Stats()
-	staging.RecordSchedStep(staging.ResidencyStats{
-		Hits:           after.Hits - before.Hits,
-		PrefetchHits:   after.PrefetchHits - before.PrefetchHits,
-		DemandMisses:   after.DemandMisses - before.DemandMisses,
-		PrefetchIssued: after.PrefetchIssued - before.PrefetchIssued,
-		LoadedBytes:    after.LoadedBytes - before.LoadedBytes,
-	})
+	s.res.RecordSchedStep()
 	if check.Enabled() {
 		check.Check(s.res.CheckInvariants)
 	}

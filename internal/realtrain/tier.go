@@ -34,12 +34,7 @@ func newTierController(model proxyModel, cfg Config) (*tiering.Controller, error
 	if err != nil {
 		return nil, err
 	}
-	var segs []Segment
-	if sm, ok := model.(segmented); ok {
-		segs = sm.Segments()
-	} else {
-		segs = []Segment{{Name: "block", Lo: 0, Hi: model.NumParams()}}
-	}
+	segs := segmentsOf(model)
 	sizes := make([]int64, 0, 2*len(segs))
 	var total int64
 	for _, s := range segs {

@@ -18,7 +18,8 @@ import (
 // monotone, so the test asserts deltas.
 func TestStatzExposesTierCounters(t *testing.T) {
 	s := newTestServer(t, nil)
-	before := statz(t, s.Handler()).Tiering
+	st := statz(t, s.Handler())
+	before, layersBefore := st.Tiering, st.Layers
 
 	// Drive a real stack training run under a bounded fast tier (75%: the
 	// tier must still hold the largest optimizer-state slot) with a generous
@@ -40,7 +41,8 @@ func TestStatzExposesTierCounters(t *testing.T) {
 		}
 	}
 
-	after := statz(t, s.Handler()).Tiering
+	st = statz(t, s.Handler())
+	after, layersAfter := st.Tiering, st.Layers
 	if after.PlanSteps <= before.PlanSteps || after.FastHits <= before.FastHits {
 		t.Fatalf("tiering counters never moved: before %+v after %+v", before, after)
 	}
@@ -49,6 +51,14 @@ func TestStatzExposesTierCounters(t *testing.T) {
 	}
 	if after.Migrations <= before.Migrations || after.PromotedBytes <= before.PromotedBytes {
 		t.Fatalf("migration counters never moved: before %+v after %+v", before, after)
+	}
+	// Tier demotions are not layer evictions: with no layer scheduler in
+	// the run, the layer counters must not move.
+	if after.DemotedBytes <= before.DemotedBytes {
+		t.Fatalf("no demotion to tell apart from an eviction: before %+v after %+v", before, after)
+	}
+	if layersAfter.Evictions != layersBefore.Evictions || layersAfter.EvictedBytes != layersBefore.EvictedBytes {
+		t.Fatalf("tier demotions leaked into layer evictions: before %+v after %+v", layersBefore, layersAfter)
 	}
 
 	// The wire names are part of the operator interface; pin them.

@@ -95,6 +95,9 @@ type Residency struct {
 
 	heat  []int64 // demand uses per slot, the /statz heat map
 	stats ResidencyStats
+	// tele snapshots stats at the last telemetry flush, so RecordSchedStep
+	// folds only the step's delta into the process counters.
+	tele ResidencyStats
 }
 
 // NewResidency builds a tracker for len(sizes) slots under the given byte
@@ -237,7 +240,6 @@ func (r *Residency) Evict(i int) bool {
 	r.used -= r.sizes[i]
 	r.stats.Evictions++
 	r.stats.EvictedBytes += r.sizes[i]
-	recordEviction(r.sizes[i])
 	return true
 }
 
@@ -345,7 +347,6 @@ func (r *Residency) makeRoom(need int64, loading, executing int) (evictedBytes i
 		r.stats.Evictions++
 		r.stats.EvictedBytes += r.sizes[v]
 		evictedBytes += r.sizes[v]
-		recordEviction(r.sizes[v])
 	}
 	return evictedBytes
 }

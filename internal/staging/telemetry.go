@@ -4,10 +4,10 @@ import "sync/atomic"
 
 // Process-wide layer-offload telemetry. Both halves of the per-layer
 // scheduler — the functional trainer path (realtrain.OffloadScheduler) and
-// the timing engine (core.StepLayered) — record residency events here, so
-// the daemon's /statz endpoint can show layer heat and fast-tier churn
-// alongside the fabric and cache figures. Counters are monotone for the
-// life of the process.
+// the timing engine (core.StepLayered) — flush their residency's per-step
+// delta here (Residency.RecordSchedStep), so the daemon's /statz endpoint
+// can show layer heat and fast-tier churn alongside the fabric and cache
+// figures. Counters are monotone for the life of the process.
 var telemetry struct {
 	demandMisses   atomic.Int64
 	hits           atomic.Int64
@@ -31,7 +31,9 @@ type LayerCounters struct {
 	PrefetchHits int64 `json:"prefetch_hits"`
 	// PrefetchIssued counts prefetch fetches started.
 	PrefetchIssued int64 `json:"prefetch_issued"`
-	// Evictions / EvictedBytes / LoadedBytes count fast-tier churn.
+	// Evictions / EvictedBytes / LoadedBytes count a layer scheduler's
+	// fast-tier churn; LoadedBytes is parameter slots only (activation
+	// traffic is in WritebackBytes and the step's LayerStats).
 	Evictions    int64 `json:"evictions"`
 	EvictedBytes int64 `json:"evicted_bytes"`
 	LoadedBytes  int64 `json:"loaded_bytes"`
@@ -57,20 +59,21 @@ func Counters() LayerCounters {
 	}
 }
 
-func recordEviction(bytes int64) {
-	telemetry.evictions.Add(1)
-	telemetry.evictedBytes.Add(bytes)
-}
-
-// RecordSchedStep folds one scheduled step's residency deltas into the
-// process-wide counters (delta = after - before for the step).
-func RecordSchedStep(delta ResidencyStats) {
-	telemetry.demandMisses.Add(delta.DemandMisses)
-	telemetry.hits.Add(delta.Hits)
-	telemetry.prefetchHits.Add(delta.PrefetchHits)
-	telemetry.prefetchIssued.Add(delta.PrefetchIssued)
-	telemetry.loadedBytes.Add(delta.LoadedBytes)
+// RecordSchedStep folds the residency's activity since the previous flush
+// into the process-wide counters: one flush per scheduled step. Only layer
+// schedulers flush, so a tiering controller's demotions (explicit Evicts)
+// never show up as layer evictions.
+func (r *Residency) RecordSchedStep() {
+	d := r.stats
+	telemetry.demandMisses.Add(d.DemandMisses - r.tele.DemandMisses)
+	telemetry.hits.Add(d.Hits - r.tele.Hits)
+	telemetry.prefetchHits.Add(d.PrefetchHits - r.tele.PrefetchHits)
+	telemetry.prefetchIssued.Add(d.PrefetchIssued - r.tele.PrefetchIssued)
+	telemetry.evictions.Add(d.Evictions - r.tele.Evictions)
+	telemetry.evictedBytes.Add(d.EvictedBytes - r.tele.EvictedBytes)
+	telemetry.loadedBytes.Add(d.LoadedBytes - r.tele.LoadedBytes)
 	telemetry.schedSteps.Add(1)
+	r.tele = d
 }
 
 // RecordWriteback notes n bytes written back to the far tier.
